@@ -28,7 +28,7 @@
 //! vertical delete (the statement must ride it out via buffer-pool retries
 //! plus the executor's serial degradation, bit-identical to the fault-free
 //! run), followed by a crash-at-every-I/O campaign smoke over the WAL
-//! driver — serial and parallel — where every crash point must recover to
+//! driver — one worker and several — where every crash point must recover to
 //! the reference state, and a torn-write campaign smoke where each swept
 //! write persists only half a page and media recovery must rebuild the
 //! damaged structure back to the reference state. Exits non-zero on any
@@ -388,7 +388,8 @@ fn audit(rows: usize, workers: usize) {
 }
 
 /// Fault-injection demo: a transient fault ridden out by retry + serial
-/// degradation, then a crash-at-every-I/O campaign smoke for both drivers.
+/// degradation, then a crash-at-every-I/O campaign smoke of the WAL driver
+/// with one worker and with several.
 fn faults(rows: usize, workers: usize) {
     use bd_core::prelude::*;
     use bd_core::{audit_equivalence, IndexDef};
@@ -455,7 +456,7 @@ fn faults(rows: usize, workers: usize) {
         }
     }
 
-    // Part 2: crash-at-every-I/O campaign smoke over the WAL drivers. The
+    // Part 2: crash-at-every-I/O campaign smoke over the WAL driver. The
     // tiny pool (24 frames) keeps the working set uncached so the sweep
     // covers real read and write accesses, not just the final flush.
     let campaign_rows = rows.min(1_500);

@@ -8,8 +8,8 @@
 //! crash, discard volatile memory (`pool.crash()`), run [`recover`], and
 //! assert via `audit_equivalence` that the recovered state matches the
 //! reference. The sweep ends at the first crash point the run never
-//! reaches. Works for the serial driver and the parallel fan-out driver
-//! alike (`workers` selects).
+//! reaches. `workers` sets the driver's fan-out width, so one sweep covers
+//! the arms run in order and another the arms run concurrently.
 
 use bd_btree::Key;
 use bd_core::{audit_catalog, audit_equivalence, Database, DbError, TableId};
@@ -35,10 +35,10 @@ pub struct CampaignReport {
 /// Sweep a crash over every disk access of a recoverable bulk delete.
 ///
 /// `build` must deterministically reconstruct the same database and return
-/// the same [`TableId`] on every call; `workers <= 1` exercises the serial
-/// driver, `workers > 1` the parallel fan-out driver. `limit` optionally
-/// caps the number of crash points (for smoke runs); `None` sweeps until
-/// the run outruns the crash point.
+/// the same [`TableId`] on every call; `workers <= 1` runs the driver's
+/// fan-out arms in order on one thread, `workers > 1` runs them
+/// concurrently. `limit` optionally caps the number of crash points (for
+/// smoke runs); `None` sweeps until the run outruns the crash point.
 ///
 /// Returns [`WalError::Divergence`] for the first crash point whose
 /// recovered state does not match the fault-free reference.

@@ -9,16 +9,23 @@
 //!    to stable storage"). Every later pass is derived from this durable
 //!    list, which makes each pass idempotent.
 //! 2. **Structure passes** — probe index, base table, then the remaining
-//!    indices (unique first). After each pass all dirty pages are flushed
-//!    and a checkpoint record is logged ("checkpoints are especially
-//!    advisable when the processing of one structure is finished").
+//!    indices (unique first), each one chunked pass that ends by flushing
+//!    its dirty pages and logging `StructureDone`. The serial prefix
+//!    (probe, table, unique indices) runs pass by pass with a checkpoint
+//!    after each; the remaining passes run as one fan-out group on the
+//!    [`PhaseExecutor`] with one checkpoint after the group ("checkpoints
+//!    are especially advisable when the processing of one structure is
+//!    finished"). One worker runs the group's arms in order on the
+//!    caller's thread; more run them concurrently. Either way the log
+//!    holds the same records.
 //! 3. **Recovery** — after a crash, the analysis pass finds the incomplete
 //!    bulk delete, restores tree metadata from the last checkpoint, and
 //!    **finishes the bulk deletion instead of rolling it back**, exactly as
-//!    §3.2 prescribes. Pending side-files are applied only after the bulk
-//!    delete completes.
+//!    §3.2 prescribes, through the same passes: those logged done are
+//!    skipped, a partial one resumes one chunk before its logged progress.
+//!    Pending side-files are applied only after the bulk delete completes.
 
-use std::sync::Arc;
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use bd_btree::{bulk_delete_sorted, BTree, Key, ReorgPolicy};
@@ -132,11 +139,16 @@ impl From<StorageError> for WalError {
 }
 
 /// The structure order: probe index, table, remaining B-tree indices with
-/// unique ones first (§3.1.3), then hash indices by attribute. Hash phases
-/// come last so the parallel driver's fan-out (non-unique B-tree arms plus
-/// hash arms) stays a contiguous suffix. Deterministic so recovery
-/// re-derives it.
-fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<StructureId>, WalError> {
+/// unique ones first (§3.1.3), then hash indices by attribute — and the
+/// length of the serial prefix (probe, table, unique indices) that runs
+/// pass by pass before the rest fans out. Hash phases come last so the
+/// fan-out stays a contiguous suffix. Deterministic so recovery re-derives
+/// it.
+fn phases(
+    db: &Database,
+    tid: TableId,
+    probe_attr: usize,
+) -> Result<(Vec<StructureId>, usize), WalError> {
     let table = db.table(tid)?;
     if table.index_on(probe_attr).is_none() {
         return Err(DbError::NoProbeIndex { attr: probe_attr }.into());
@@ -147,6 +159,7 @@ fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<Structur
         .filter(|i| i.def.attr != probe_attr)
         .collect();
     rest.sort_by_key(|i| (!i.def.unique, i.def.attr));
+    let n_serial = 2 + rest.iter().filter(|i| i.def.unique).count();
     let mut out = vec![StructureId::Probe, StructureId::Table];
     out.extend(rest.iter().map(|i| StructureId::Index(i.def.attr as u16)));
     let mut hashes: Vec<u16> = table
@@ -156,7 +169,7 @@ fn phases(db: &Database, tid: TableId, probe_attr: usize) -> Result<Vec<Structur
         .collect();
     hashes.sort_unstable();
     out.extend(hashes.into_iter().map(StructureId::Hash));
-    Ok(out)
+    Ok((out, n_serial))
 }
 
 /// Read-only victim resolution: probe-index lookups, then heap reads in
@@ -221,107 +234,274 @@ fn checkpoint(db: &mut Database, tid: TableId, log: &LogManager) -> Result<(), W
 /// Victims processed between two mid-structure progress records.
 const PROGRESS_CHUNK: usize = 2048;
 
-/// Run one structure pass, chunked: after every [`PROGRESS_CHUNK`] victims
-/// the dirty pages are flushed and a [`LogRecord::Progress`] is written, so
-/// a crash loses at most one chunk of work ("the last processed RID or
-/// key-value ... stored in the log ... will speed up recovery"). `start`
-/// skips victims a pre-crash run already durably processed. Lenient against
-/// already-deleted entries so the first (possibly half-flushed) chunk can
-/// be re-run.
+/// The crash injector as the passes see it. A pass runs as a
+/// [`PhaseTask`], whose body can fail only with a [`StorageError`], so a
+/// tripped site raises [`StorageError::SimulatedCrash`] and leaves its name
+/// here for [`Tripwire::resolve`]. A `SimulatedCrash` with no name left is
+/// the disk's own crash point, which `From` maps to [`CrashSite::InIo`].
+struct Tripwire {
+    crash: CrashInjector,
+    fired: Mutex<Option<CrashSite>>,
+}
+
+impl Tripwire {
+    fn new(crash: CrashInjector) -> Self {
+        Tripwire {
+            crash,
+            fired: Mutex::new(None),
+        }
+    }
+
+    fn check(&self, here: CrashSite) -> Result<(), StorageError> {
+        if self.crash.hit(here) {
+            *self.fired.lock().expect("crash site slot") = Some(here);
+            return Err(StorageError::SimulatedCrash);
+        }
+        Ok(())
+    }
+
+    /// The driver's error for `e`: the crash names the tripped site, if any.
+    fn resolve(&self, e: WalError) -> WalError {
+        match (e, *self.fired.lock().expect("crash site slot")) {
+            (WalError::Crashed(CrashSite::InIo), Some(site)) => WalError::Crashed(site),
+            (e, _) => e,
+        }
+    }
+}
+
+/// What the log already holds of an interrupted bulk delete: the
+/// materialized rows, the structures logged done and each structure's
+/// highest progress record. Empty on the forward run.
+#[derive(Default)]
+struct Resume {
+    rows: Option<Vec<MaterializedRow>>,
+    done: Vec<StructureId>,
+    progress: HashMap<StructureId, usize>,
+}
+
+/// One structure pass: the structure, its position in the phase order
+/// (crash sites name passes by it), its victims in the structure's delete
+/// order, and the victim it starts at.
+struct Pass {
+    phase: StructureId,
+    idx: usize,
+    victims: Vec<(Key, Rid)>,
+    start: usize,
+}
+
+/// A structure's victim list, built once per pass: `(key, rid)` in key
+/// order for the B-trees, materialized-row (RID) order for the heap and the
+/// hash indices, so every run and recovery cut the same chunks.
+fn victims(phase: StructureId, probe_attr: usize, rows: &[MaterializedRow]) -> Vec<(Key, Rid)> {
+    let attr = match phase {
+        StructureId::Probe | StructureId::Table => probe_attr,
+        StructureId::Index(a) | StructureId::Hash(a) => a as usize,
+        StructureId::Temp | StructureId::Spatial(_) | StructureId::Lsm(_) => {
+            unreachable!("scratch, spatial and LSM structures are never bulk-delete phases")
+        }
+    };
+    let mut pairs: Vec<(Key, Rid)> = rows.iter().map(|r| (r.attrs[attr], r.rid)).collect();
+    if matches!(phase, StructureId::Probe | StructureId::Index(_)) {
+        pairs.sort_unstable();
+    }
+    pairs
+}
+
+/// Deletes one chunk of a pass's victims from its structure. Lenient
+/// against entries already gone, so a chunk that a crash left half-flushed
+/// can re-run.
+type ChunkDelete<'a> = Box<dyn FnMut(&[(Key, Rid)]) -> Result<(), StorageError> + Send + 'a>;
+
+/// One [`ChunkDelete`] per structure of `table`, keyed by its phase. Each
+/// borrows only its own structure, which is what lets a fan-out group hand
+/// them to separate threads.
+fn chunk_deletes(table: &mut Table, probe_attr: usize) -> Vec<(StructureId, ChunkDelete<'_>)> {
+    let Table {
+        heap,
+        indices,
+        hash_indices,
+        ..
+    } = table;
+    let mut out: Vec<(StructureId, ChunkDelete<'_>)> = vec![(
+        StructureId::Table,
+        Box::new(move |chunk| {
+            let rids: Vec<Rid> = chunk.iter().map(|&(_, rid)| rid).collect();
+            heap.bulk_delete_sorted_lenient(&rids).map(|_| ())
+        }),
+    )];
+    for ix in indices.iter_mut() {
+        let phase = if ix.def.attr == probe_attr {
+            StructureId::Probe
+        } else {
+            StructureId::Index(ix.def.attr as u16)
+        };
+        let tree = &mut ix.tree;
+        out.push((
+            phase,
+            Box::new(move |chunk| {
+                bulk_delete_sorted(tree, chunk, ReorgPolicy::FreeAtEmpty).map(|_| ())
+            }),
+        ));
+    }
+    for h in hash_indices.iter_mut() {
+        let index = &mut h.index;
+        out.push((
+            StructureId::Hash(h.def.attr as u16),
+            // Hash indices are updated the traditional way, one chain walk
+            // per victim; deleting an absent entry is a no-op.
+            Box::new(move |chunk| {
+                for &(k, rid) in chunk {
+                    index.delete(k, rid)?;
+                }
+                Ok(())
+            }),
+        ));
+    }
+    out
+}
+
+/// Run one structure pass: the bulk delete's only chunk loop, shared by the
+/// forward run, every fan-out arm and recovery's redo. From `pass.start`,
+/// every [`PROGRESS_CHUNK`] victims are deleted, the dirty pages flushed
+/// and a [`LogRecord::Progress`] written, so a crash loses at most one
+/// chunk of work ("the last processed RID or key-value ... stored in the
+/// log ... will speed up recovery"). The final flush makes the last chunk
+/// durable *before* `StructureDone` is logged: a crash between pass and
+/// flush must re-run the pass on recovery, never skip it.
+fn run_pass(
+    pool: &BufferPool,
+    log: &LogManager,
+    wire: &Tripwire,
+    pass: &Pass,
+    delete: &mut ChunkDelete<'_>,
+) -> Result<(), StorageError> {
+    let total = pass.victims.len();
+    let mut done = pass.start.min(total);
+    let mut progress_records = 0usize;
+    loop {
+        let end = (done + PROGRESS_CHUNK).min(total);
+        delete(&pass.victims[done..end])?;
+        done = end;
+        if done == total {
+            break;
+        }
+        // `flush_all` skips frames pinned by sibling arms; this pass holds
+        // no pins here, so its chunk is durable before the progress record
+        // claims it — unless a sibling pinned one of its pages, which is
+        // why recovery backs off a chunk when it resumes from progress.
+        pool.flush_all()?;
+        log.append(&LogRecord::Progress {
+            structure: pass.phase,
+            done: done as u32,
+        });
+        progress_records += 1;
+        wire.check(CrashSite::AtProgress(pass.idx, progress_records))?;
+    }
+    wire.check(CrashSite::MidStructure(pass.idx))?;
+    pool.flush_all()?;
+    log.append(&LogRecord::StructureDone {
+        structure: pass.phase,
+    });
+    Ok(())
+}
+
+/// Run `passes` as one [`PhaseExecutor`] fan-out group, one arm per
+/// structure on up to `workers` threads; with one worker or one pass the
+/// arms run in order on the caller's thread. The executor runs
+/// [`PhaseExecutor::without_degradation`]: this driver's fault story is
+/// roll-forward recovery from the log, so a crashed arm must fail the
+/// statement and leave recovery to [`recover`], not retry behind the log's
+/// back.
 #[allow(clippy::too_many_arguments)]
-fn run_phase(
+fn run_group(
     db: &mut Database,
     tid: TableId,
     probe_attr: usize,
-    phase: StructureId,
-    rows: &[MaterializedRow],
-    start: usize,
+    passes: &[Pass],
     log: &LogManager,
-    phase_idx: usize,
-    crash: CrashInjector,
+    wire: &Tripwire,
+    workers: usize,
 ) -> Result<(), WalError> {
-    // Per-structure victim lists, sorted in that structure's order.
-    let sorted_pairs = |attr: usize| -> Vec<(Key, Rid)> {
-        let mut pairs: Vec<(Key, Rid)> = rows.iter().map(|r| (r.attrs[attr], r.rid)).collect();
-        pairs.sort_unstable();
-        pairs
+    let pool = db.pool().clone();
+    let mut deletes = chunk_deletes(db.table_mut(tid)?, probe_attr);
+    let tasks = passes
+        .iter()
+        .map(|pass| {
+            let at = deletes
+                .iter()
+                .position(|(s, _)| *s == pass.phase)
+                .expect("every phase names a structure of the table");
+            let (_, mut delete) = deletes.swap_remove(at);
+            let pool = &pool;
+            PhaseTask::new(format!("wal bd {:?}", pass.phase), move || {
+                run_pass(pool, log, wire, pass, &mut delete)
+            })
+        })
+        .collect();
+    PhaseExecutor::new(workers)
+        .without_degradation()
+        .fan_out(tasks)?;
+    Ok(())
+}
+
+/// The bulk delete from materialization to commit: the forward run's body
+/// and recovery's redo alike. Materializes the victims unless the log
+/// already holds them, then runs every pass not logged done: the serial
+/// prefix one pass at a time, each followed by a checkpoint, then the
+/// remaining passes as one fan-out group followed by one group checkpoint.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    db: &mut Database,
+    tid: TableId,
+    probe_attr: usize,
+    keys: &[Key],
+    resume: Resume,
+    log: &LogManager,
+    wire: &Tripwire,
+    workers: usize,
+) -> Result<usize, WalError> {
+    let rows = match resume.rows {
+        Some(rows) => rows,
+        None => {
+            let rows = materialize(db, tid, probe_attr, keys)?;
+            log.append(&LogRecord::RowsMaterialized { rows: rows.clone() });
+            checkpoint(db, tid, log)?;
+            rows
+        }
     };
-    let total = rows.len();
-    let mut done = start;
-    let mut progress_records = 0usize;
-    while done < total || (total == 0 && done == 0) {
-        let end = (done + PROGRESS_CHUNK).min(total);
-        {
-            let table = db.table_mut(tid)?;
-            match phase {
-                StructureId::Probe => {
-                    let pairs = sorted_pairs(probe_attr);
-                    let tree = &mut table
-                        .index_on_mut(probe_attr)
-                        .expect("probe index present")
-                        .tree;
-                    bulk_delete_sorted(tree, &pairs[done..end], ReorgPolicy::FreeAtEmpty)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Table => {
-                    let rids: Vec<Rid> = rows[done..end].iter().map(|r| r.rid).collect();
-                    table
-                        .heap
-                        .bulk_delete_sorted_lenient(&rids)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Index(attr) => {
-                    let pairs = sorted_pairs(attr as usize);
-                    let tree = &mut table
-                        .index_on_mut(attr as usize)
-                        .expect("index present")
-                        .tree;
-                    bulk_delete_sorted(tree, &pairs[done..end], ReorgPolicy::FreeAtEmpty)
-                        .map_err(DbError::Storage)?;
-                }
-                StructureId::Hash(attr) => {
-                    // Hash indices are updated the traditional way, one
-                    // chain walk per victim, in materialized-row order (the
-                    // same chunking the parallel arm and recovery use).
-                    // Deleting an already-absent entry is a no-op, so
-                    // re-running a chunk is safe.
-                    let hi = table
-                        .hash_indices
-                        .iter_mut()
-                        .find(|h| h.def.attr == attr as usize)
-                        .expect("hash index present");
-                    for row in &rows[done..end] {
-                        hi.index
-                            .delete(row.attrs[attr as usize], row.rid)
-                            .map_err(DbError::Storage)?;
-                    }
-                }
-                StructureId::Temp | StructureId::Spatial(_) | StructureId::Lsm(_) => {
-                    unreachable!("scratch, spatial and LSM structures are never bulk-delete phases")
-                }
-            }
+    wire.check(CrashSite::AfterMaterialize)?;
+
+    let (phases, n_serial) = phases(db, tid, probe_attr)?;
+    let phases: Vec<(usize, StructureId)> = phases.into_iter().enumerate().collect();
+    let (serial, fan) = phases.split_at(n_serial);
+    for group in serial.chunks(1).chain([fan]) {
+        let passes: Vec<Pass> = group
+            .iter()
+            .filter(|(_, phase)| !resume.done.contains(phase))
+            .map(|&(idx, phase)| Pass {
+                phase,
+                idx,
+                victims: victims(phase, probe_attr, &rows),
+                // Resume from the last durable progress record, backing off
+                // one chunk so the possibly half-flushed chunk re-runs.
+                start: resume
+                    .progress
+                    .get(&phase)
+                    .map_or(0, |&done| done.saturating_sub(PROGRESS_CHUNK)),
+            })
+            .collect();
+        if passes.is_empty() {
+            continue;
         }
-        done = end;
-        if done < total {
-            // Mid-structure checkpoint: flush, then make progress durable.
-            db.pool().flush_all().map_err(DbError::Storage)?;
-            log.append(&LogRecord::Progress {
-                structure: phase,
-                done: done as u32,
-            });
-            progress_records += 1;
-            if crash.hit(CrashSite::AtProgress(phase_idx, progress_records)) {
-                return Err(WalError::Crashed(CrashSite::AtProgress(
-                    phase_idx,
-                    progress_records,
-                )));
-            }
-        }
-        if total == 0 {
-            break;
+        run_group(db, tid, probe_attr, &passes, log, wire, workers)?;
+        checkpoint(db, tid, log)?;
+        for pass in &passes {
+            wire.check(CrashSite::AfterStructure(pass.idx))?;
         }
     }
-    Ok(())
+
+    log.append(&LogRecord::BulkCommit);
+    Ok(rows.len())
 }
 
 /// Run a recoverable bulk delete, logging every step. On a simulated crash
@@ -335,125 +515,14 @@ pub fn run_bulk_delete(
     log: &LogManager,
     crash: CrashInjector,
 ) -> Result<usize, WalError> {
-    let mut keys = d_keys.to_vec();
-    keys.sort_unstable();
-    keys.dedup();
-    log.append(&LogRecord::BulkBegin {
-        probe_attr: probe_attr as u16,
-        keys: keys.clone(),
-    });
-
-    let rows = materialize(db, tid, probe_attr, &keys)?;
-    log.append(&LogRecord::RowsMaterialized { rows: rows.clone() });
-    checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterMaterialize) {
-        return Err(WalError::Crashed(CrashSite::AfterMaterialize));
-    }
-
-    for (i, phase) in phases(db, tid, probe_attr)?.into_iter().enumerate() {
-        run_serial_phase(db, tid, probe_attr, phase, &rows, log, i, crash)?;
-    }
-
-    log.append(&LogRecord::BulkCommit);
-    Ok(rows.len())
+    run_bulk_delete_parallel(db, tid, probe_attr, d_keys, log, crash, 1)
 }
 
-/// One serial structure pass end-to-end: the chunked pass, a flush that
-/// makes the final chunk durable *before* completion is logged (a
-/// disk-level crash between pass and flush must re-run the pass on
-/// recovery, never skip it), the `StructureDone` record, and a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_serial_phase(
-    db: &mut Database,
-    tid: TableId,
-    probe_attr: usize,
-    phase: StructureId,
-    rows: &[MaterializedRow],
-    log: &LogManager,
-    i: usize,
-    crash: CrashInjector,
-) -> Result<(), WalError> {
-    run_phase(db, tid, probe_attr, phase, rows, 0, log, i, crash)?;
-    if crash.hit(CrashSite::MidStructure(i)) {
-        return Err(WalError::Crashed(CrashSite::MidStructure(i)));
-    }
-    db.pool().flush_all().map_err(DbError::Storage)?;
-    log.append(&LogRecord::StructureDone { structure: phase });
-    checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterStructure(i)) {
-        return Err(WalError::Crashed(CrashSite::AfterStructure(i)));
-    }
-    Ok(())
-}
-
-/// One concurrent fan-out arm of [`run_bulk_delete_parallel`]: the chunked
-/// pass over a single structure (a non-unique B-tree index or a hash
-/// index), with per-chunk flushes and durable progress records, ending in
-/// the arm's own `StructureDone`. `chunk(lo, hi)` deletes victims
-/// `lo..hi` of the arm's victim list. The flush before `StructureDone` is
-/// what makes the arm's work durable — the group checkpoint runs only
-/// after every arm has joined.
-#[allow(clippy::too_many_arguments)]
-fn run_fanout_arm(
-    pool: &Arc<BufferPool>,
-    total: usize,
-    phase: StructureId,
-    phase_idx: usize,
-    log: &LogManager,
-    crash: CrashInjector,
-    site: &Mutex<Option<CrashSite>>,
-    mut chunk: impl FnMut(usize, usize) -> Result<(), StorageError>,
-) -> Result<(), StorageError> {
-    let trip = |here: CrashSite| -> Result<(), StorageError> {
-        if crash.hit(here) {
-            *site.lock().expect("crash site slot") = Some(here);
-            return Err(StorageError::SimulatedCrash);
-        }
-        Ok(())
-    };
-    let mut done = 0usize;
-    let mut progress_records = 0usize;
-    loop {
-        let end = (done + PROGRESS_CHUNK).min(total);
-        chunk(done, end)?;
-        done = end;
-        if done >= total {
-            break;
-        }
-        // `flush_all` skips frames pinned by sibling arms; this arm holds
-        // no pins here, so its chunk is fully durable before the progress
-        // record claims it — unless a sibling pinned one of its pages, which
-        // is why recovery backs off a chunk when it resumes from progress.
-        pool.flush_all()?;
-        log.append(&LogRecord::Progress {
-            structure: phase,
-            done: done as u32,
-        });
-        progress_records += 1;
-        trip(CrashSite::AtProgress(phase_idx, progress_records))?;
-    }
-    trip(CrashSite::MidStructure(phase_idx))?;
-    pool.flush_all()?;
-    log.append(&LogRecord::StructureDone { structure: phase });
-    Ok(())
-}
-
-/// A fan-out arm's mutable handle: a B-tree or a hash index.
-enum Arm<'a> {
-    Tree(&'a mut BTree),
-    Hash(&'a mut HashIndex),
-}
-
-/// [`run_bulk_delete`] with the non-unique index passes dispatched to up to
-/// `workers` threads — the recoverable analogue of the strategy layer's
-/// `vertical_parallel`. The serial prefix (materialize, probe, table,
-/// unique indices — §3.1's ordering) is identical to the serial driver;
-/// the fan-out arms log their own progress and completion records into the
-/// shared log, and one group checkpoint follows the join. The executor
-/// runs [`PhaseExecutor::without_degradation`]: this driver's fault story
-/// is roll-forward recovery from the log, so a crashed arm must fail the
-/// statement and leave recovery to [`recover`], not retry behind the
-/// log's back.
+/// [`run_bulk_delete`] with the fan-out group (the non-unique B-tree
+/// indices and every hash index) dispatched to up to `workers` threads —
+/// the recoverable analogue of the strategy layer's `vertical`. Every
+/// worker count runs the same passes and logs the same records (a group's
+/// arms interleave theirs in the shared log), leaving the same state.
 pub fn run_bulk_delete_parallel(
     db: &mut Database,
     tid: TableId,
@@ -463,9 +532,6 @@ pub fn run_bulk_delete_parallel(
     crash: CrashInjector,
     workers: usize,
 ) -> Result<usize, WalError> {
-    if workers <= 1 {
-        return run_bulk_delete(db, tid, probe_attr, d_keys, log, crash);
-    }
     let mut keys = d_keys.to_vec();
     keys.sort_unstable();
     keys.dedup();
@@ -473,157 +539,9 @@ pub fn run_bulk_delete_parallel(
         probe_attr: probe_attr as u16,
         keys: keys.clone(),
     });
-
-    let rows = materialize(db, tid, probe_attr, &keys)?;
-    log.append(&LogRecord::RowsMaterialized { rows: rows.clone() });
-    checkpoint(db, tid, log)?;
-    if crash.hit(CrashSite::AfterMaterialize) {
-        return Err(WalError::Crashed(CrashSite::AfterMaterialize));
-    }
-
-    // Serial prefix: probe, table, then unique indices — `phases` orders
-    // unique indices directly after the table, so the prefix is contiguous.
-    let all = phases(db, tid, probe_attr)?;
-    let n_serial = {
-        let table = db.table(tid)?;
-        all.iter()
-            .take_while(|p| match p {
-                StructureId::Probe | StructureId::Table => true,
-                StructureId::Index(attr) => table
-                    .index_on(*attr as usize)
-                    .map(|i| i.def.unique)
-                    .unwrap_or(false),
-                StructureId::Hash(_)
-                | StructureId::Temp
-                | StructureId::Spatial(_)
-                | StructureId::Lsm(_) => false,
-            })
-            .count()
-    };
-    for (i, phase) in all[..n_serial].iter().enumerate() {
-        run_serial_phase(db, tid, probe_attr, *phase, &rows, log, i, crash)?;
-    }
-
-    // Fan-out: one arm per remaining structure — the non-unique B-tree
-    // indices and every hash index.
-    let fan: Vec<(usize, StructureId)> = all[n_serial..]
-        .iter()
-        .enumerate()
-        .map(|(j, p)| match p {
-            StructureId::Index(_) | StructureId::Hash(_) => (n_serial + j, *p),
-            _ => unreachable!("serial prefix covers probe and table"),
-        })
-        .collect();
-    if !fan.is_empty() {
-        let pair_lists: Vec<Vec<(Key, Rid)>> = fan
-            .iter()
-            .map(|&(_, phase)| match phase {
-                // B-tree arms delete in key order; hash arms keep the
-                // materialized-row order so their chunk boundaries match
-                // the serial driver's and recovery's.
-                StructureId::Index(attr) => {
-                    let mut pairs: Vec<(Key, Rid)> = rows
-                        .iter()
-                        .map(|r| (r.attrs[attr as usize], r.rid))
-                        .collect();
-                    pairs.sort_unstable();
-                    pairs
-                }
-                StructureId::Hash(attr) => rows
-                    .iter()
-                    .map(|r| (r.attrs[attr as usize], r.rid))
-                    .collect(),
-                _ => unreachable!("fan holds only index and hash phases"),
-            })
-            .collect();
-        let site_slot: Mutex<Option<CrashSite>> = Mutex::new(None);
-        let pool = db.pool().clone();
-        let fan_result = {
-            let Table {
-                indices,
-                hash_indices,
-                ..
-            } = db.table_mut(tid)?;
-            let rank_of = |p: StructureId| fan.iter().position(|&(_, q)| q == p);
-            let mut arms: Vec<(usize, Arm<'_>)> = indices
-                .iter_mut()
-                .filter_map(|ix| {
-                    rank_of(StructureId::Index(ix.def.attr as u16))
-                        .map(|r| (r, Arm::Tree(&mut ix.tree)))
-                })
-                .chain(hash_indices.iter_mut().filter_map(|h| {
-                    rank_of(StructureId::Hash(h.def.attr as u16))
-                        .map(|r| (r, Arm::Hash(&mut h.index)))
-                }))
-                .collect();
-            arms.sort_by_key(|&(r, _)| r);
-
-            let mut exec = PhaseExecutor::new(workers).without_degradation();
-            let mut tasks: Vec<PhaseTask> = Vec::new();
-            for ((rank, mut arm), pairs) in arms.into_iter().zip(pair_lists.iter()) {
-                let (phase_idx, phase) = fan[rank];
-                let pool = pool.clone();
-                let site_slot = &site_slot;
-                let label = match phase {
-                    StructureId::Hash(attr) => format!("wal bd hash {attr}"),
-                    StructureId::Index(attr) => format!("wal bd index {attr}"),
-                    _ => unreachable!("fan holds only index and hash phases"),
-                };
-                tasks.push(PhaseTask::new(label, move || {
-                    let run = |chunk: &mut dyn FnMut(usize, usize) -> Result<(), StorageError>| {
-                        run_fanout_arm(
-                            &pool,
-                            pairs.len(),
-                            phase,
-                            phase_idx,
-                            log,
-                            crash,
-                            site_slot,
-                            chunk,
-                        )
-                    };
-                    match &mut arm {
-                        Arm::Tree(tree) => run(&mut |lo, hi| {
-                            bulk_delete_sorted(tree, &pairs[lo..hi], ReorgPolicy::FreeAtEmpty)
-                                .map(|_| ())
-                        }),
-                        Arm::Hash(h) => run(&mut |lo, hi| {
-                            for &(k, rid) in &pairs[lo..hi] {
-                                h.delete(k, rid)?;
-                            }
-                            Ok(())
-                        }),
-                    }
-                }));
-            }
-            exec.fan_out(tasks)
-        };
-        if let Err(e) = fan_result {
-            // An injector site inside an arm travels back as
-            // `SimulatedCrash` plus the site slot. A disk-level crash point
-            // (`FaultPlan::crash_at_access`) firing inside an arm's I/O also
-            // surfaces as `SimulatedCrash` but never touches the slot — by
-            // contract the empty slot maps to `CrashSite::InIo` via `From`
-            // (pinned by `arm_crash_with_empty_site_slot_maps_to_in_io` in
-            // tests/campaign.rs).
-            if e == StorageError::SimulatedCrash {
-                if let Some(site) = *site_slot.lock().expect("crash site slot") {
-                    return Err(WalError::Crashed(site));
-                }
-            }
-            return Err(e.into());
-        }
-        // One group checkpoint covers every arm's completed pass.
-        checkpoint(db, tid, log)?;
-        for &(phase_idx, _) in &fan {
-            if crash.hit(CrashSite::AfterStructure(phase_idx)) {
-                return Err(WalError::Crashed(CrashSite::AfterStructure(phase_idx)));
-            }
-        }
-    }
-
-    log.append(&LogRecord::BulkCommit);
-    Ok(rows.len())
+    let wire = Tripwire::new(crash);
+    let resume = Resume::default();
+    drive(db, tid, probe_attr, &keys, resume, log, &wire, workers).map_err(|e| wire.resolve(e))
 }
 
 /// Recover after a crash: finish any incomplete bulk delete (roll forward),
@@ -660,6 +578,41 @@ struct MediaDamage {
 }
 
 impl MediaDamage {
+    /// File damage to the structure tagged `owner` (a table-scoped owner
+    /// tag) under the heap, the home table's trees or hashes, or `foreign`.
+    /// Tags that name no table structure are ignored.
+    fn add(&mut self, owner: StructureId, home: TableId) {
+        match owner {
+            StructureId::Table => self.heap = true,
+            StructureId::Index(_) | StructureId::Hash(_) => {
+                let (t, a) = owner
+                    .scoped_parts()
+                    .expect("index/hash owners carry a table scope");
+                if t != home {
+                    self.foreign.push(owner);
+                } else if matches!(owner, StructureId::Index(_)) {
+                    self.tree_attrs.push(a);
+                } else {
+                    self.hash_attrs.push(a);
+                }
+            }
+            StructureId::Probe
+            | StructureId::Temp
+            | StructureId::Spatial(_)
+            | StructureId::Lsm(_) => {}
+        }
+    }
+
+    /// Sort and dedup every list, so each damaged structure rebuilds once.
+    fn normalise(&mut self) {
+        self.tree_attrs.sort_unstable();
+        self.tree_attrs.dedup();
+        self.hash_attrs.sort_unstable();
+        self.hash_attrs.dedup();
+        self.foreign.sort_unstable_by_key(|s| s.scoped_parts());
+        self.foreign.dedup();
+    }
+
     fn is_empty(&self) -> bool {
         !self.heap
             && self.tree_attrs.is_empty()
@@ -736,34 +689,16 @@ fn classify_media_damage(
     for &pid in corrupt {
         match catalog.owner(pid) {
             None => report.healed_free += 1,
-            Some(StructureId::Table) => damage.heap = true,
-            Some(s @ (StructureId::Index(_) | StructureId::Hash(_))) => {
-                let (t, a) = s
-                    .scoped_parts()
-                    .expect("index/hash owners carry a table scope");
-                if t == home {
-                    match s {
-                        StructureId::Index(_) => damage.tree_attrs.push(a),
-                        _ => damage.hash_attrs.push(a),
-                    }
-                } else {
-                    damage.foreign.push(s);
-                }
-            }
             Some(StructureId::Temp) | Some(StructureId::Spatial(_)) | Some(StructureId::Lsm(_)) => {
                 report.healed_scratch += 1
             }
             Some(StructureId::Probe) => {
                 unreachable!("probe is a phase role; its pages are catalogued as Index")
             }
+            Some(owner) => damage.add(owner, home),
         }
     }
-    damage.tree_attrs.sort_unstable();
-    damage.tree_attrs.dedup();
-    damage.hash_attrs.sort_unstable();
-    damage.hash_attrs.dedup();
-    damage.foreign.sort_unstable_by_key(|s| s.scoped_parts());
-    damage.foreign.dedup();
+    damage.normalise();
     report.heap_damaged = damage.heap;
     Ok(damage)
 }
@@ -831,39 +766,6 @@ fn unclosed_maintenance(records: &[LogRecord]) -> Vec<StructureId> {
         }
     }
     open
-}
-
-/// Fold the structures named by open maintenance brackets into the media
-/// damage set, so the normal rebuild path covers them.
-fn absorb_maintenance_damage(damage: &mut MediaDamage, open: &[StructureId], home: TableId) {
-    for &s in open {
-        match s {
-            StructureId::Table => damage.heap = true,
-            StructureId::Index(_) | StructureId::Hash(_) => {
-                let (t, a) = s
-                    .scoped_parts()
-                    .expect("maintenance brackets carry table-scoped owner tags");
-                if t == home {
-                    match s {
-                        StructureId::Index(_) => damage.tree_attrs.push(a),
-                        _ => damage.hash_attrs.push(a),
-                    }
-                } else {
-                    damage.foreign.push(s);
-                }
-            }
-            StructureId::Probe
-            | StructureId::Temp
-            | StructureId::Spatial(_)
-            | StructureId::Lsm(_) => {}
-        }
-    }
-    damage.tree_attrs.sort_unstable();
-    damage.tree_attrs.dedup();
-    damage.hash_attrs.sort_unstable();
-    damage.hash_attrs.dedup();
-    damage.foreign.sort_unstable_by_key(|s| s.scoped_parts());
-    damage.foreign.dedup();
 }
 
 /// Re-own any catalog-free page that is still reachable from a structure.
@@ -952,7 +854,10 @@ pub fn recover_media_report(
     // may be half-applied: the bracketed structure is damage, rebuilt from
     // the heap exactly like a torn page's owner.
     let open_maintenance = unclosed_maintenance(&records);
-    absorb_maintenance_damage(&mut damage, &open_maintenance, tid);
+    for &s in &open_maintenance {
+        damage.add(s, tid);
+    }
+    damage.normalise();
     let close_brackets = |log: &LogManager| {
         for &s in &open_maintenance {
             log.append(&LogRecord::MaintainEnd { structure: s });
@@ -983,18 +888,15 @@ pub fn recover_media_report(
         return Ok((0, report));
     }
 
-    let mut rows: Option<Vec<MaterializedRow>> = None;
-    let mut done: Vec<StructureId> = Vec::new();
+    let mut resume = Resume::default();
     let mut last_ckpt: Option<Vec<TreeMeta>> = None;
-    let mut progress: std::collections::HashMap<StructureId, usize> =
-        std::collections::HashMap::new();
     for r in tail {
         match r {
-            LogRecord::RowsMaterialized { rows: r } => rows = Some(r.clone()),
-            LogRecord::StructureDone { structure } => done.push(*structure),
+            LogRecord::RowsMaterialized { rows } => resume.rows = Some(rows.clone()),
+            LogRecord::StructureDone { structure } => resume.done.push(*structure),
             LogRecord::Checkpoint { trees } => last_ckpt = Some(trees.clone()),
             LogRecord::Progress { structure, done } => {
-                let e = progress.entry(*structure).or_insert(0);
+                let e = resume.progress.entry(*structure).or_insert(0);
                 *e = (*e).max(*done as usize);
             }
             _ => {}
@@ -1002,8 +904,10 @@ pub fn recover_media_report(
     }
     // A media-damaged structure is rebuilt below; its logged completion and
     // progress describe pages that no longer exist.
-    done.retain(|s| !damage.covers(*s, probe_attr));
-    progress.retain(|s, _| !damage.covers(*s, probe_attr));
+    resume.done.retain(|s| !damage.covers(*s, probe_attr));
+    resume
+        .progress
+        .retain(|s, _| !damage.covers(*s, probe_attr));
 
     // Restore durable handles: tree metadata from the last checkpoint,
     // counters recounted from the disk state. Damaged structures skip both
@@ -1045,54 +949,17 @@ pub fn recover_media_report(
     }
     rebuild_damaged(db, tid, &damage, &mut report)?;
 
-    // Redo: finish the bulk delete from the materialized rows.
-    let rows = match rows {
-        Some(r) => r,
-        None => {
-            // Crash hit before materialization was logged: no destructive
-            // work has happened; materialize now.
-            let r = materialize(db, tid, probe_attr, &keys)?;
-            log.append(&LogRecord::RowsMaterialized { rows: r.clone() });
-            checkpoint(db, tid, log)?;
-            r
-        }
-    };
-    for (i, phase) in phases(db, tid, probe_attr)?.into_iter().enumerate() {
-        if done.contains(&phase) {
-            continue;
-        }
-        // Resume from the last durable progress record for this structure,
-        // backing off one chunk so the possibly half-flushed chunk re-runs:
-        // under the parallel driver a sibling arm can hold a pin during
-        // this structure's pre-progress flush, leaving part of the claimed
-        // chunk unflushed (the passes are lenient, so re-running is safe).
-        let start = progress
-            .get(&phase)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(PROGRESS_CHUNK);
-        run_phase(
-            db,
-            tid,
-            probe_attr,
-            phase,
-            &rows,
-            start,
-            log,
-            i,
-            CrashInjector::none(),
-        )?;
-        db.pool().flush_all().map_err(DbError::Storage)?;
-        log.append(&LogRecord::StructureDone { structure: phase });
-        checkpoint(db, tid, log)?;
-    }
-    log.append(&LogRecord::BulkCommit);
+    // Redo: finish the bulk delete through the forward run's own body,
+    // skipping the passes the log holds as done. With no rows logged the
+    // crash hit before any destructive work, and the body materializes.
+    let wire = Tripwire::new(CrashInjector::none());
+    let deleted = drive(db, tid, probe_attr, &keys, resume, log, &wire, 1)?;
 
     apply_side(db, tid, pending_side_ops)?;
     reconcile_catalog(db, tid)?;
     db.pool().flush_all().map_err(DbError::Storage)?;
     close_brackets(log);
-    Ok((rows.len(), report))
+    Ok((deleted, report))
 }
 
 /// Rebuild each damaged structure from the surviving heap: the structure's

@@ -12,9 +12,12 @@
 //!   commit;
 //! * [`log`] — an append-only, force-on-append log manager (stable storage
 //!   in the simulation);
-//! * [`driver`] — [`driver::run_bulk_delete`] with crash injection at every
-//!   interesting point, and [`driver::recover`], which *rolls the bulk
-//!   delete forward* and applies pending side-files afterwards;
+//! * [`driver`] — one recoverable bulk-delete driver,
+//!   [`driver::run_bulk_delete`] (or [`driver::run_bulk_delete_parallel`]
+//!   with a worker count for its fan-out group), with crash injection at
+//!   every interesting point, and [`driver::recover`], which *rolls the
+//!   bulk delete forward* through the same passes and applies pending
+//!   side-files afterwards;
 //! * [`erasure`] — durable erasure campaigns: the full cascade persisted
 //!   as a manifest, each step recoverable, a physical scrub plus log
 //!   redaction at commit, and a byte-level proof of deletion.

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Repo verification: format, lint, release build, tier-1 tests.
+# Repo verification: format, lint, release build, tier-1 tests, then every
+# test suite of the workspace (the crate-level suites, WAL campaigns
+# included).
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
 
@@ -9,6 +11,7 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+cargo test --workspace --release -q
 
 # Differential strategy-equivalence audit: horizontal vs vertical vs
 # vertical with parallel `⋈̄` arms must leave bit-equivalent structures.
@@ -16,9 +19,10 @@ cargo run --release -p bd-bench --bin repro -- --audit --parallel 3
 
 # Fault-injection smoke: a transient fault must be ridden out (retry +
 # serial degradation, bit-identical state), a bounded crash-at-every-I/O
-# campaign must recover every crash point for both WAL drivers, and a
-# bounded torn-write campaign must media-recover every surfaced tear
-# (half-written page images rebuilt from the heap + WAL).
+# campaign must recover every crash point of the WAL driver with one and
+# with several workers, and a bounded torn-write campaign must
+# media-recover every surfaced tear (half-written page images rebuilt from
+# the heap + WAL).
 cargo run --release -p bd-bench --bin repro -- --faults --parallel 3
 
 # Bench-snapshot gate: a bounded fig7 sweep must produce a valid
