@@ -151,8 +151,9 @@ fn bench_prefetch(c: &mut Criterion) {
 }
 
 fn bench_hash_index_burden(c: &mut Criterion) {
-    // The paper's prototype updates non-B-tree indices "in the traditional
-    // way" even inside a vertical bulk delete: measure that burden.
+    // The paper's prototype updated non-B-tree indices "in the traditional
+    // way"; here each hash index rides along as its own bucket-ordered
+    // `⋈̄` arm: measure what that still costs.
     let cfg = PointConfig {
         n_secondary: 1,
         ..PointConfig::base(BENCH_ROWS)

@@ -80,10 +80,10 @@ pub struct HashIndexDef {
     pub attr: usize,
 }
 
-/// One hash index: metadata plus the backing structure. The bulk-delete
-/// algorithms are B-tree-only ("this work was restricted to B+-trees");
-/// hash indices are "updated in the traditional way" — one chain walk per
-/// record — by every strategy.
+/// One hash index: metadata plus the backing structure. Bulk paths (the
+/// vertical plan, the WAL driver, the transactional bulk deletes) delete
+/// from it with one bucket-ordered `⋈̄` ([`HashIndex::bulk_delete`]);
+/// record-at-a-time paths use one chain walk per record.
 pub struct HashIdx {
     /// Index metadata.
     pub def: HashIndexDef,
@@ -101,7 +101,7 @@ pub struct Table {
     pub heap: HeapFile,
     /// B-tree indices (bulk-deletable).
     pub indices: Vec<Index>,
-    /// Hash indices (always maintained record-at-a-time).
+    /// Hash indices (bulk paths sweep them bucket by bucket).
     pub hash_indices: Vec<HashIdx>,
 }
 

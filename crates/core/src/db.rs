@@ -179,9 +179,11 @@ impl Database {
         Ok(())
     }
 
-    /// Build a hash index on `attr` over the current table contents. Hash
-    /// indices are always maintained record-at-a-time ("updated in the
-    /// traditional way"); the bulk-delete operators never touch them.
+    /// Build a hash index on `attr` over the current table contents, with
+    /// one bucket-ordered pass ([`bd_hashidx::HashIndex::bulk_insert`]).
+    /// The bulk-delete operators delete from it the same way, one sweep
+    /// per statement; single-row inserts, deletes and updates maintain it
+    /// record-at-a-time.
     pub fn create_hash_index(&mut self, id: TableId, attr: usize) -> DbResult<()> {
         let pool = self.pool.clone();
         let table = self.tables.get_mut(id).ok_or(DbError::NoSuchTable(id))?;
@@ -194,9 +196,13 @@ impl Database {
             table.heap.len().max(64),
             StructureId::hash_of(id, attr),
         )?;
-        for (rid, bytes) in table.heap.dump()? {
-            index.insert(schema.attr_of(&bytes, attr), rid)?;
-        }
+        let entries: Vec<(Key, Rid)> = table
+            .heap
+            .dump()?
+            .iter()
+            .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+            .collect();
+        index.bulk_insert(&entries)?;
         table.hash_indices.push(crate::catalog::HashIdx {
             def: crate::catalog::HashIndexDef {
                 name: format!("H_{}", crate::tuple::attr_name(attr)),
@@ -316,7 +322,7 @@ pub struct TableParts<'a> {
     pub heap: &'a mut bd_storage::HeapFile,
     /// All B-tree indices.
     pub indices: &'a mut Vec<Index>,
-    /// All hash indices (maintained record-at-a-time by every strategy).
+    /// All hash indices.
     pub hash_indices: &'a mut Vec<crate::catalog::HashIdx>,
 }
 

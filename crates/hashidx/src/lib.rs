@@ -5,10 +5,14 @@
 //! The paper restricts its bulk-delete algorithms to B⁺-trees and states
 //! that "in our prototype, other kinds of indices are updated in the
 //! traditional way" (§5), naming hash tables first among the structures
-//! left to future work. This crate supplies that other kind of index: a
-//! bucket-array hash index whose entries the engine maintains
-//! record-at-a-time — including during a vertical bulk delete, exactly as
-//! the paper's prototype did.
+//! left to future work. This crate supplies that other kind of index and
+//! carries the paper's `⋈̄` over to it: [`HashIndex::bulk_delete`] sorts
+//! the victims by bucket number and merges them against the bucket array
+//! in one pass, so every touched chain is walked once and the bucket pages,
+//! which are contiguous, stream in through the shared read-ahead instead of
+//! one random read per victim. [`HashIndex::bulk_insert`] builds the same
+//! way. Record-at-a-time paths (horizontal deletes, single-row deletes,
+//! updates) keep using [`HashIndex::delete`] and [`HashIndex::insert`].
 //!
 //! Layout: a fixed bucket directory (catalog metadata) points at bucket
 //! pages; each bucket page holds `(key, rid)` entries and an overflow
@@ -24,7 +28,7 @@
 use std::sync::Arc;
 
 use bd_storage::page::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
-use bd_storage::{BufferPool, PageId, Rid, StorageResult, StructureId, PAGE_SIZE};
+use bd_storage::{BufferPool, PageId, ReadAhead, Rid, StorageResult, StructureId, PAGE_SIZE};
 
 /// Key type (matches the B-tree's).
 pub type Key = u64;
@@ -229,20 +233,142 @@ impl HashIndex {
         Ok(false)
     }
 
-    /// Delete every `(key, rid)` entry of `entries` — the hash-index arm
-    /// of a bulk delete. Each entry still costs one chain walk (hash
-    /// indices are "updated in the traditional way"; the bulk-delete
-    /// operator "was restricted to B+-trees"), but the whole arm is one
-    /// entry point on an owned, `Send` handle, so the executor can
-    /// dispatch it to a worker thread. Returns how many entries existed.
+    /// Delete every `(key, rid)` entry of `entries` — the hash-index `⋈̄`
+    /// of a bulk delete. The victims are sorted by `(bucket, key, rid)` and
+    /// merged against the bucket array: each touched chain is walked once,
+    /// front to back, swap-removing all of its bucket's victims, and stops
+    /// as soon as none is left. The touched bucket pages ascend, so they
+    /// stream in through the shared [`ReadAhead`].
+    ///
+    /// The result equals one [`HashIndex::delete`] per listed entry: an
+    /// absent entry is skipped, and an entry listed `c` times removes up to
+    /// `c` matching entries. Returns how many entries were removed. Pauses
+    /// between chain pages with no pin held.
     pub fn bulk_delete(&mut self, entries: &[(Key, Rid)]) -> StorageResult<usize> {
+        let n_buckets = self.buckets.len();
+        let mut victims: Vec<(usize, Key, Rid)> = entries
+            .iter()
+            .map(|&(k, rid)| (bucket_of(k, n_buckets), k, rid))
+            .collect();
+        victims.sort_unstable();
+        let mut ra = self.plan_buckets(&victims);
         let mut removed = 0;
-        for &(key, rid) in entries {
-            if self.delete(key, rid)? {
-                removed += 1;
+        let mut i = 0;
+        while i < victims.len() {
+            let b = victims[i].0;
+            let end = i + victims[i..].partition_point(|v| v.0 == b);
+            // This bucket's distinct victims in (key, rid) order, each with
+            // how many matching entries it may still remove.
+            let mut wanted: Vec<((Key, Rid), usize)> = Vec::new();
+            for &(_, k, rid) in &victims[i..end] {
+                match wanted.last_mut() {
+                    Some((e, c)) if *e == (k, rid) => *c += 1,
+                    _ => wanted.push(((k, rid), 1)),
+                }
+            }
+            let mut pending = end - i;
+            i = end;
+            let mut pid = Some(self.buckets[b]);
+            ra.before_pin(self.buckets[b]);
+            while let Some(p) = pid.filter(|_| pending > 0) {
+                // Pause point: between chain pages, no pin held.
+                bd_storage::pacer::checkpoint()?;
+                let mut w = self.pool.pin_write(p)?;
+                let mut n = page_n(&w[..]);
+                let mut j = 0;
+                while j < n && pending > 0 {
+                    let e = page_entry(&w[..], j);
+                    match wanted.binary_search_by(|(v, _)| v.cmp(&e)) {
+                        Ok(t) if wanted[t].1 > 0 => {
+                            wanted[t].1 -= 1;
+                            pending -= 1;
+                            // Swap-remove with the last entry of this page,
+                            // then look at slot `j` again.
+                            let last = page_entry(&w[..], n - 1);
+                            page_set_entry(&mut w[..], j, last);
+                            n -= 1;
+                            page_set_n(&mut w[..], n);
+                            self.n_entries -= 1;
+                            removed += 1;
+                        }
+                        _ => j += 1,
+                    }
+                }
+                pid = page_overflow(&w[..]);
             }
         }
         Ok(removed)
+    }
+
+    /// Bulk build: insert every entry of `entries` in one bucket-ordered
+    /// pass. A stable sort by bucket keeps each bucket's entries in input
+    /// order; each touched chain is then filled front to back once, with
+    /// overflow pages chained as pages fill. Every chain ends up holding
+    /// exactly the entries, in the same order, that one
+    /// [`HashIndex::insert`] per entry would give it, at one read of each
+    /// touched bucket page (streamed through the shared [`ReadAhead`])
+    /// instead of one random chain walk per entry.
+    pub fn bulk_insert(&mut self, entries: &[(Key, Rid)]) -> StorageResult<()> {
+        let n_buckets = self.buckets.len();
+        let mut order: Vec<(usize, Key, Rid)> = entries
+            .iter()
+            .map(|&(k, rid)| (bucket_of(k, n_buckets), k, rid))
+            .collect();
+        order.sort_by_key(|e| e.0);
+        let mut ra = self.plan_buckets(&order);
+        let mut i = 0;
+        while i < order.len() {
+            let b = order[i].0;
+            let end = i + order[i..].partition_point(|e| e.0 == b);
+            let mut pid = self.buckets[b];
+            ra.before_pin(pid);
+            loop {
+                // Pause point: between chain pages, no pin held.
+                bd_storage::pacer::checkpoint()?;
+                let mut w = self.pool.pin_write(pid)?;
+                let n = page_n(&w[..]);
+                let take = BUCKET_CAP.saturating_sub(n).min(end - i);
+                for (j, &(_, k, rid)) in order[i..i + take].iter().enumerate() {
+                    page_set_entry(&mut w[..], n + j, (k, rid));
+                }
+                page_set_n(&mut w[..], n + take);
+                self.n_entries += take;
+                i += take;
+                if i == end {
+                    break;
+                }
+                pid = match page_overflow(&w[..]) {
+                    Some(next) => next,
+                    None => {
+                        // Chain a fresh, empty page; the next iteration
+                        // fills it.
+                        let (new_pid, mut nw) = self.pool.new_page(self.owner)?;
+                        page_set_n(&mut nw[..], 0);
+                        page_set_overflow(&mut nw[..], None);
+                        drop(nw);
+                        page_set_overflow(&mut w[..], Some(new_pid));
+                        new_pid
+                    }
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// Read-ahead over the bucket pages of `sorted` (ordered by bucket):
+    /// bucket pages are contiguous, so ascending buckets are ascending
+    /// pages. Overflow pages stay out of the plan and are never announced
+    /// to it, since a far-off overflow page would skip the cursor past
+    /// every bucket page below it.
+    fn plan_buckets(&self, sorted: &[(usize, Key, Rid)]) -> ReadAhead {
+        let mut ra = ReadAhead::new(self.pool.clone());
+        let mut prev = None;
+        ra.plan(sorted.iter().filter_map(|&(b, _, _)| {
+            let fresh = prev != Some(b);
+            prev = Some(b);
+            fresh.then(|| self.buckets[b])
+        }));
+        ra
     }
 
     /// All entries, in arbitrary order (consistency checks).
@@ -325,9 +451,10 @@ impl HashIndex {
     }
 
     /// Scrub every chain page: zero all bytes beyond the live entry region.
-    /// [`HashIndex::delete`] swap-removes, so the former last entry's
-    /// `(key, rid)` image survives beyond `n_entries` until this pass
-    /// destroys it. Returns the number of pages that held stale bytes.
+    /// [`HashIndex::delete`] and [`HashIndex::bulk_delete`] swap-remove, so
+    /// the former last entry's `(key, rid)` image survives beyond
+    /// `n_entries` until this pass destroys it. Returns the number of pages
+    /// that held stale bytes.
     pub fn scrub(&mut self) -> StorageResult<usize> {
         let mut dirtied = 0;
         for &bucket in &self.buckets {
@@ -525,6 +652,179 @@ mod tests {
         got.sort_unstable();
         expect.sort_unstable();
         assert_eq!(got, expect, "resumed delete diverged");
+    }
+
+    /// Every chain's pages, each as its entries in slot order.
+    fn chain_pages(h: &HashIndex) -> Vec<Vec<Vec<(Key, Rid)>>> {
+        h.buckets
+            .iter()
+            .map(|&bucket| {
+                let mut pages = Vec::new();
+                let mut pid = Some(bucket);
+                while let Some(p) = pid {
+                    let r = h.pool.pin_read(p).unwrap();
+                    pages.push((0..page_n(&r[..])).map(|i| page_entry(&r[..], i)).collect());
+                    pid = page_overflow(&r[..]);
+                }
+                pages
+            })
+            .collect()
+    }
+
+    /// [`chain_pages`] with each page's entries sorted: swap-removal order
+    /// within a page depends on the victims' order, the set does not.
+    fn chain_page_sets(h: &HashIndex) -> Vec<Vec<Vec<(Key, Rid)>>> {
+        let mut chains = chain_pages(h);
+        for page in chains.iter_mut().flatten() {
+            page.sort_unstable();
+        }
+        chains
+    }
+
+    #[test]
+    fn bulk_delete_matches_sequential_deletes() {
+        // Three buckets and ~4 pages of entries per bucket, so victims sit
+        // in overflow pages too; every key is present under two RIDs, and
+        // one entry is stored twice.
+        let build = || {
+            let mut h = HashIndex::create(pool(), 3, StructureId::Hash(0)).unwrap();
+            for k in 0..(BUCKET_CAP * 6) as u64 {
+                h.insert(k, rid(k)).unwrap();
+                h.insert(k, rid(k + 1)).unwrap();
+            }
+            h.insert(5, rid(5)).unwrap();
+            h
+        };
+        let last = (BUCKET_CAP * 6 - 1) as u64;
+        let cases: Vec<(&str, Vec<(Key, Rid)>)> = vec![
+            ("empty", vec![]),
+            (
+                "duplicate keys, distinct rids",
+                (0..200)
+                    .flat_map(|k| [(k, rid(k)), (k, rid(k + 1))])
+                    .collect(),
+            ),
+            (
+                "absent entries",
+                vec![(10, rid(99)), (1 << 40, rid(1)), (3, rid(3)), (7, rid(70))],
+            ),
+            (
+                "listed twice",
+                vec![
+                    (5, rid(5)),
+                    (9, rid(9)),
+                    (5, rid(5)),
+                    (9, rid(9)),
+                    (5, rid(5)),
+                ],
+            ),
+            (
+                "overflow pages",
+                (last - 300..=last).rev().map(|k| (k, rid(k + 1))).collect(),
+            ),
+            (
+                "every entry, unsorted",
+                (0..=last)
+                    .rev()
+                    .flat_map(|k| [(k, rid(k + 1)), (k, rid(k))])
+                    .collect(),
+            ),
+        ];
+        for (name, victims) in cases {
+            let mut seq = build();
+            let mut bulk = build();
+            let mut expect = 0;
+            for &(k, r) in &victims {
+                expect += usize::from(seq.delete(k, r).unwrap());
+            }
+            assert_eq!(bulk.bulk_delete(&victims).unwrap(), expect, "{name}: count");
+            assert_eq!(bulk.len(), seq.len(), "{name}: len");
+            assert_eq!(bulk.pages().unwrap(), seq.pages().unwrap(), "{name}: pages");
+            assert_eq!(
+                chain_page_sets(&bulk),
+                chain_page_sets(&seq),
+                "{name}: pages' entries"
+            );
+            assert!(bulk.audit().unwrap().violations.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn bulk_insert_matches_sequential_inserts() {
+        // Duplicate keys, input out of bucket order, and one bucket long
+        // enough to chain several overflow pages; the second batch lands on
+        // chains that already hold entries and holes left by deletes.
+        let first: Vec<(Key, Rid)> = (0..(BUCKET_CAP * 10) as u64)
+            .rev()
+            .map(|i| (i % 1500, rid(i)))
+            .collect();
+        let second: Vec<(Key, Rid)> = (0..400u64).map(|i| (i * 7, rid(i + 9))).collect();
+        let holes: Vec<(Key, Rid)> = first.iter().copied().step_by(5).collect();
+        let mut seq = HashIndex::create(pool(), 4, StructureId::Hash(0)).unwrap();
+        let mut bulk = HashIndex::create(pool(), 4, StructureId::Hash(0)).unwrap();
+        for &(k, r) in &first {
+            seq.insert(k, r).unwrap();
+        }
+        bulk.bulk_insert(&first).unwrap();
+        assert_eq!(chain_pages(&bulk), chain_pages(&seq), "fresh build");
+        for &(k, r) in &holes {
+            assert!(seq.delete(k, r).unwrap());
+            assert!(bulk.delete(k, r).unwrap());
+        }
+        for &(k, r) in &second {
+            seq.insert(k, r).unwrap();
+        }
+        bulk.bulk_insert(&second).unwrap();
+        bulk.bulk_insert(&[]).unwrap();
+        assert_eq!(
+            chain_pages(&bulk),
+            chain_pages(&seq),
+            "build onto a used index"
+        );
+        assert_eq!(bulk.len(), seq.len());
+        assert!(bulk.max_chain_len().unwrap() >= 3);
+        assert!(bulk.audit().unwrap().violations.is_empty());
+    }
+
+    #[test]
+    fn paused_mid_sweep_bulk_delete_holds_no_pins_and_matches_uninterrupted() {
+        // Eight buckets of ~3-page chains: the sweep crosses a checkpoint
+        // per chain page, so a pause trip lands mid-sweep. Parked ⇒ zero
+        // pinned frames; resumed ⇒ the exact state an uninterrupted sweep
+        // produces.
+        let n = (BUCKET_CAP * 20) as u64;
+        let mut reference = HashIndex::create(pool(), 8, StructureId::Hash(0)).unwrap();
+        let p = pool();
+        let mut h = HashIndex::create(p.clone(), 8, StructureId::Hash(0)).unwrap();
+        for k in 0..n {
+            reference.insert(k, rid(k)).unwrap();
+            h.insert(k, rid(k)).unwrap();
+        }
+        let victims: Vec<(Key, Rid)> = (0..n).step_by(2).map(|k| (k, rid(k))).collect();
+        assert_eq!(reference.bulk_delete(&victims).unwrap(), victims.len());
+
+        let pacer = bd_storage::Pacer::new();
+        pacer.pause_after(7);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _g = pacer.enter();
+                assert_eq!(h.bulk_delete(&victims).unwrap(), victims.len());
+            });
+            assert!(
+                pacer.wait_parked(1, std::time::Duration::from_secs(10)),
+                "bulk delete never parked mid-sweep"
+            );
+            assert_eq!(p.pinned_frames(), 0, "parked mid-sweep with a pin held");
+            pacer.resume();
+            worker.join().unwrap();
+        });
+
+        assert_eq!(h.len(), reference.len());
+        assert_eq!(
+            chain_pages(&h),
+            chain_pages(&reference),
+            "resumed sweep diverged"
+        );
     }
 
     #[test]

@@ -442,9 +442,11 @@ impl TxnDb {
                     let rows = table.heap.bulk_delete_sorted(&rids)?;
                     for h in &mut table.hash_indices {
                         let attr = h.def.attr;
-                        for (rid, bytes) in &rows {
-                            h.index.delete(schema.attr_of(bytes, attr), *rid)?;
-                        }
+                        let entries: Vec<(Key, Rid)> = rows
+                            .iter()
+                            .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+                            .collect();
+                        h.index.bulk_delete(&entries)?;
                     }
                     for index in table
                         .indices
@@ -589,13 +591,15 @@ impl TxnDb {
             )?;
             let rids: Vec<Rid> = sorted.into_iter().map(|b| b.0).collect();
             deleted_rows = table.heap.bulk_delete_sorted(&rids)?;
-            // Hash indices are maintained the traditional way, inside the
-            // exclusive phase (no side-file machinery for them).
+            // Hash indices are swept inside the exclusive phase, one
+            // bucket-ordered `⋈̄` each (no side-file machinery for them).
             for h in &mut table.hash_indices {
                 let attr = h.def.attr;
-                for (rid, bytes) in &deleted_rows {
-                    h.index.delete(schema.attr_of(bytes, attr), *rid)?;
-                }
+                let entries: Vec<(Key, Rid)> = deleted_rows
+                    .iter()
+                    .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+                    .collect();
+                h.index.bulk_delete(&entries)?;
             }
 
             // Unique indices first (§3.1.3).

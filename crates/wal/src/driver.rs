@@ -347,14 +347,9 @@ fn chunk_deletes(table: &mut Table, probe_attr: usize) -> Vec<(StructureId, Chun
         let index = &mut h.index;
         out.push((
             StructureId::Hash(h.def.attr as u16),
-            // Hash indices are updated the traditional way, one chain walk
-            // per victim; deleting an absent entry is a no-op.
-            Box::new(move |chunk| {
-                for &(k, rid) in chunk {
-                    index.delete(k, rid)?;
-                }
-                Ok(())
-            }),
+            // One bucket-ordered sweep per chunk; the chunk cuts stay in
+            // RID order, and an absent entry is skipped.
+            Box::new(move |chunk| index.bulk_delete(chunk).map(|_| ())),
         ));
     }
     out
@@ -1041,11 +1036,11 @@ fn rebuild_hash(
         StructureId::hash_of(tid, attr),
     )
     .map_err(DbError::Storage)?;
-    for (rid, bytes) in &dump {
-        fresh
-            .insert(schema.attr_of(bytes, attr), *rid)
-            .map_err(DbError::Storage)?;
-    }
+    let entries: Vec<(Key, Rid)> = dump
+        .iter()
+        .map(|(rid, bytes)| (schema.attr_of(bytes, attr), *rid))
+        .collect();
+    fresh.bulk_insert(&entries).map_err(DbError::Storage)?;
     h.index = fresh;
     report.rebuilt_hashes.push(attr);
     Ok(())

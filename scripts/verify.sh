@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo verification: format, lint, release build, tier-1 tests, then every
 # test suite of the workspace (the crate-level suites, WAL campaigns
-# included).
+# included), then the benchmark's self-tests.
 # Everything runs offline — external deps are vendored under vendor/.
 set -eux
 
@@ -12,6 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 cargo test --workspace --release -q
+
+# The benchmark's self-tests (perfbench/ is a workspace of its own): same
+# seed, same simulated figures; metric lists match BENCHMARK.json; and
+# every phase row a run reports is attributed to a per-layer metric.
+cargo test --manifest-path perfbench/Cargo.toml --release -q
 
 # Differential strategy-equivalence audit: horizontal vs vertical vs
 # vertical with parallel `⋈̄` arms must leave bit-equivalent structures.
